@@ -4,13 +4,19 @@ SMOKE_PORT ?= 18077
 BENCH_CURRENT ?= /tmp/mdtask-bench-current.json
 FUZZTIME ?= 10s
 
-.PHONY: build test bench bench-json bench-gate docslint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
+.PHONY: build test examples bench bench-json bench-gate docslint fmt vet serve smoke-serve smoke-fleet smoke-stream smoke-cache smoke-obs smoke-crash fuzz race loadgate
 
 build:
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
+
+# Run every example end to end; a non-zero exit from any of them fails
+# the target (psaensemble exits non-zero unless every engine and both
+# schedules produce bit-identical matrices). Gating in CI.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Run the analysis job server (cmd/mdserver) in the foreground.
 serve:

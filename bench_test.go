@@ -1,10 +1,10 @@
 // Package mdtask_test holds the repository-level benchmark harness: one
 // testing.B benchmark per table/figure of the paper (each regenerates
 // the artifact through the experiment harness) plus ablation benchmarks
-// for the design choices DESIGN.md calls out (early-break Hausdorff,
-// union-find vs BFS components, tree vs brute edge discovery, 1-D vs
-// 2-D partitioning, partial-component shuffle reduction, stage-barrier
-// vs greedy DAG scheduling).
+// for the paper's design choices (union-find vs BFS components, tree vs
+// brute edge discovery, 1-D vs 2-D partitioning, partial-component
+// shuffle reduction, stage-barrier vs greedy DAG scheduling). The
+// Hausdorff kernel and per-engine PSA benchmarks live in internal/bench.
 //
 // Run with: go test -bench=. -benchmem
 package mdtask_test
@@ -16,12 +16,9 @@ import (
 	"mdtask/internal/balltree"
 	"mdtask/internal/bench"
 	"mdtask/internal/cluster"
-	"mdtask/internal/dask"
 	"mdtask/internal/graph"
-	"mdtask/internal/hausdorff"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/linalg"
-	"mdtask/internal/psa"
 	"mdtask/internal/rdd"
 	"mdtask/internal/synth"
 )
@@ -65,31 +62,6 @@ func BenchmarkFig9PilotLeaflet(b *testing.B)  { benchExperiment(b, "fig9") }
 func BenchmarkTab1Comparison(b *testing.B)    { benchExperiment(b, "tab1") }
 func BenchmarkTab2MapReduceOps(b *testing.B)  { benchExperiment(b, "tab2") }
 func BenchmarkTab3DecisionFrame(b *testing.B) { benchExperiment(b, "tab3") }
-
-// --- Kernel benchmarks backing the calibration ---
-
-func benchTrajPair() (fa, fb [][]linalg.Vec3) {
-	a := synth.Walk("a", 334, 40, 7, 0) // 1/10th-scale "small" preset
-	bb := synth.Walk("b", 334, 40, 7, 1)
-	return hausdorff.Frames(a), hausdorff.Frames(bb)
-}
-
-// Ablation: the early-break Hausdorff optimization (§2.1.1, [34]).
-func BenchmarkHausdorffNaive(b *testing.B) {
-	fa, fb := benchTrajPair()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hausdorff.DistanceFrames(fa, fb, hausdorff.Naive)
-	}
-}
-
-func BenchmarkHausdorffEarlyBreak(b *testing.B) {
-	fa, fb := benchTrajPair()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hausdorff.DistanceFrames(fa, fb, hausdorff.EarlyBreak)
-	}
-}
 
 // Ablation: union-find vs BFS connected components.
 func benchGraph() (int, []graph.Edge) {
@@ -238,37 +210,6 @@ func benchScheduler(b *testing.B, fw cluster.Framework) {
 		makespan = res.Makespan
 	}
 	b.ReportMetric(makespan, "model-makespan-s")
-}
-
-// Real-engine PSA micro-benchmarks (one block task per core).
-func BenchmarkPSASerial(b *testing.B) {
-	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := psa.Serial(ens, psa.Opts{Method: hausdorff.Naive}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPSARDDEngine(b *testing.B) {
-	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := psa.RunRDD(rdd.NewContext(0), ens, 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPSADaskEngine(b *testing.B) {
-	ens := synth.Ensemble(synth.EnsemblePreset{Name: "b", NAtoms: 128, NFrames: 20}, 8, 13)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := psa.RunDask(dask.NewClient(0), ens, 2, psa.Opts{Method: hausdorff.Naive}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkLeafletSerial64k(b *testing.B) {

@@ -1,6 +1,6 @@
-// Quickstart: generate a small trajectory ensemble, run Path Similarity
-// Analysis on the Dask-like engine through the high-level core API, and
-// print the Hausdorff distance matrix.
+// Quickstart: describe a Path Similarity Analysis job as a jobs.Spec
+// over a generated ensemble, run it on the Dask-like engine through the
+// jobs registry, and print the Hausdorff distance matrix.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -9,21 +9,28 @@ import (
 	"fmt"
 	"log"
 
-	"mdtask/internal/core"
-	"mdtask/internal/hausdorff"
-	"mdtask/internal/synth"
+	"mdtask/internal/bench"
+	"mdtask/internal/jobs"
 )
 
 func main() {
 	// Six random-walk trajectories of 200 atoms over 40 frames.
-	ens := synth.Ensemble(synth.EnsemblePreset{Name: "demo", NAtoms: 200, NFrames: 40}, 6, 1)
-
-	cfg := core.Config{Engine: core.EngineDask, Parallelism: 4}
-	m, err := core.PSA(cfg, ens, hausdorff.EarlyBreak)
+	spec, in, err := jobs.Resolve(jobs.Spec{
+		Analysis:    jobs.AnalysisPSA,
+		Engine:      jobs.EngineDask,
+		Parallelism: 4,
+		Method:      "early-break",
+		Synth:       &jobs.SynthSpec{Count: 6, Atoms: 200, Frames: 40, Seed: 1},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, _, err := jobs.Run(jobs.DefaultRegistry(), spec, in)
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	m := res.Matrix
 	fmt.Println("PSA Hausdorff distance matrix (Å):")
 	for i := 0; i < m.N; i++ {
 		for j := 0; j < m.N; j++ {
@@ -34,11 +41,9 @@ func main() {
 
 	// The decision framework (paper Table 3) picks an engine for a
 	// throughput-bound, shuffle-free workload like this one.
-	recs, err := core.Recommend(core.Requirements{
-		Needs: []core.Criterion{core.Throughput, core.ManyTasks, core.PythonNative},
-	})
+	recs, err := bench.Recommend(bench.Throughput, bench.ManyTasks, bench.PythonNative)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrecommended engine for this workload: %s\n", recs[0].Engine)
+	fmt.Printf("\nrecommended engine for this workload: %s\n", bench.FrameworkLabels[recs[0].Engine])
 }

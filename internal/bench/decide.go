@@ -1,9 +1,28 @@
-package core
+package bench
 
 import (
 	"fmt"
 	"sort"
+
+	"mdtask/internal/jobs"
 )
+
+// The paper's qualitative framework comparison (Table 1) and decision
+// framework (Table 3) as data, keyed by the jobs engine names of the
+// compared frameworks, plus the Recommend facility built on Table 3.
+
+// FrameworkLabels maps the paper's engines to the names its tables
+// print.
+var FrameworkLabels = map[string]string{
+	jobs.EnginePilot: "RADICAL-Pilot",
+	jobs.EngineSpark: "Spark",
+	jobs.EngineDask:  "Dask",
+	jobs.EngineMPI:   "MPI",
+}
+
+// tableFrameworks is the column order of Tables 1 and 3. MPI is the
+// baseline and has no column, as in the paper.
+var tableFrameworks = []string{jobs.EnginePilot, jobs.EngineSpark, jobs.EngineDask}
 
 // Support grades how well a framework supports a criterion, following
 // the paper's Table 3 legend.
@@ -65,24 +84,23 @@ var (
 
 // DecisionTable is the paper's Table 3: per-criterion support rankings
 // for RADICAL-Pilot, Spark and Dask.
-var DecisionTable = map[Criterion]map[Engine]Support{
-	LowLatency:     {EnginePilot: Unsupported, EngineSpark: Minor, EngineDask: Supported},
-	Throughput:     {EnginePilot: Unsupported, EngineSpark: Supported, EngineDask: Major},
-	MPIHPCTasks:    {EnginePilot: Supported, EngineSpark: Minor, EngineDask: Minor},
-	TaskAPI:        {EnginePilot: Supported, EngineSpark: Minor, EngineDask: Major},
-	ManyTasks:      {EnginePilot: Unsupported, EngineSpark: Major, EngineDask: Major},
-	PythonNative:   {EnginePilot: Major, EngineSpark: Minor, EngineDask: Supported},
-	JavaCode:       {EnginePilot: Minor, EngineSpark: Major, EngineDask: Minor},
-	HighLevelAbstr: {EnginePilot: Unsupported, EngineSpark: Major, EngineDask: Supported},
-	Shuffle:        {EnginePilot: Unsupported, EngineSpark: Major, EngineDask: Supported},
-	BroadcastCrit:  {EnginePilot: Unsupported, EngineSpark: Major, EngineDask: Supported},
-	Caching:        {EnginePilot: Unsupported, EngineSpark: Major, EngineDask: Minor},
+var DecisionTable = map[Criterion]map[string]Support{
+	LowLatency:     {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Minor, jobs.EngineDask: Supported},
+	Throughput:     {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Supported, jobs.EngineDask: Major},
+	MPIHPCTasks:    {jobs.EnginePilot: Supported, jobs.EngineSpark: Minor, jobs.EngineDask: Minor},
+	TaskAPI:        {jobs.EnginePilot: Supported, jobs.EngineSpark: Minor, jobs.EngineDask: Major},
+	ManyTasks:      {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Major, jobs.EngineDask: Major},
+	PythonNative:   {jobs.EnginePilot: Major, jobs.EngineSpark: Minor, jobs.EngineDask: Supported},
+	JavaCode:       {jobs.EnginePilot: Minor, jobs.EngineSpark: Major, jobs.EngineDask: Minor},
+	HighLevelAbstr: {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Major, jobs.EngineDask: Supported},
+	Shuffle:        {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Major, jobs.EngineDask: Supported},
+	BroadcastCrit:  {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Major, jobs.EngineDask: Supported},
+	Caching:        {jobs.EnginePilot: Unsupported, jobs.EngineSpark: Major, jobs.EngineDask: Minor},
 }
 
-// Traits summarizes the paper's Table 1 (framework comparison) for
-// documentation and tooling.
+// Traits is one column of the paper's Table 1 (framework comparison).
 type Traits struct {
-	Engine          Engine
+	Engine          string
 	Languages       string
 	TaskAbstraction string
 	FunctionalAPI   string
@@ -93,10 +111,11 @@ type Traits struct {
 	Limitations     string
 }
 
-// Table1 reproduces the paper's framework-comparison table.
+// Table1 reproduces the paper's framework-comparison table, in
+// tableFrameworks order.
 var Table1 = []Traits{
 	{
-		Engine:          EnginePilot,
+		Engine:          jobs.EnginePilot,
 		Languages:       "Python",
 		TaskAbstraction: "Task (Compute-Unit)",
 		FunctionalAPI:   "-",
@@ -107,7 +126,7 @@ var Table1 = []Traits{
 		Limitations:     "no shuffle, filesystem-based communication",
 	},
 	{
-		Engine:          EngineSpark,
+		Engine:          jobs.EngineSpark,
 		Languages:       "Java, Scala, Python, R",
 		TaskAbstraction: "Map-Task",
 		FunctionalAPI:   "RDD API",
@@ -118,7 +137,7 @@ var Table1 = []Traits{
 		Limitations:     "high overheads for Python tasks (serialization)",
 	},
 	{
-		Engine:          EngineDask,
+		Engine:          jobs.EngineDask,
 		Languages:       "Python",
 		TaskAbstraction: "Delayed",
 		FunctionalAPI:   "Bag",
@@ -130,38 +149,28 @@ var Table1 = []Traits{
 	},
 }
 
-// Requirements describes an application for Recommend, mirroring the
-// criteria of the paper's conceptual framework (§4.4).
-type Requirements struct {
-	// Criteria the application needs; each is weighted equally.
-	Needs []Criterion
-}
-
-// Recommendation is a ranked engine with its score and the per-criterion
-// support that produced it.
+// Recommendation is a ranked engine with its Table 3 score: the sum of
+// its support grades over the criteria asked for.
 type Recommendation struct {
-	Engine  Engine
-	Score   int
-	Support map[Criterion]Support
+	Engine string
+	Score  int
 }
 
 // Recommend ranks the three task-parallel frameworks (MPI is the
-// baseline, not ranked, as in Table 3) against the application's needs
-// using the paper's decision framework. Engines are ordered by
-// descending score; ties preserve Table 3's column order.
-func Recommend(req Requirements) ([]Recommendation, error) {
-	candidates := []Engine{EnginePilot, EngineSpark, EngineDask}
-	recs := make([]Recommendation, 0, len(candidates))
-	for _, e := range candidates {
-		rec := Recommendation{Engine: e, Support: make(map[Criterion]Support)}
-		for _, c := range req.Needs {
+// baseline, not ranked, as in Table 3) against an application's needs,
+// each weighted equally, using the paper's decision framework (§4.4).
+// Engines are ordered by descending score; ties preserve Table 3's
+// column order.
+func Recommend(needs ...Criterion) ([]Recommendation, error) {
+	recs := make([]Recommendation, 0, len(tableFrameworks))
+	for _, e := range tableFrameworks {
+		rec := Recommendation{Engine: e}
+		for _, c := range needs {
 			row, ok := DecisionTable[c]
 			if !ok {
-				return nil, fmt.Errorf("core: unknown criterion %q", c)
+				return nil, fmt.Errorf("bench: unknown criterion %q", c)
 			}
-			s := row[e]
-			rec.Support[c] = s
-			rec.Score += int(s)
+			rec.Score += int(row[e])
 		}
 		recs = append(recs, rec)
 	}

@@ -65,17 +65,17 @@ func benchPSAEngines(b *testing.B, sym bool) {
 	})
 	b.Run("rdd", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunRDD(rdd.NewContext(benchPSACores), ens, benchPSAGroup, opts)
+			return psa.RunRDDRefs(rdd.NewContext(benchPSACores), traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 	b.Run("dask", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunDask(dask.NewClient(benchPSACores), ens, benchPSAGroup, opts)
+			return psa.RunDaskRefs(dask.NewClient(benchPSACores), traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 	b.Run("mpi", func(b *testing.B) {
 		benchPSA(b, sym, func(ens traj.Ensemble, opts psa.Opts) (*psa.Matrix, error) {
-			return psa.RunMPI(benchPSACores, ens, benchPSAGroup, opts)
+			return psa.RunMPIRefs(benchPSACores, traj.RefsOf(ens), benchPSAGroup, opts)
 		})
 	})
 }
@@ -97,7 +97,7 @@ func TestPSASchedulesAgreeInBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := psa.RunRDD(rdd.NewContext(benchPSACores), ens, benchPSAGroup,
+	sym, err := psa.RunRDDRefs(rdd.NewContext(benchPSACores), traj.RefsOf(ens), benchPSAGroup,
 		psa.Opts{Symmetric: true, Method: hausdorff.Naive})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@
 // paper's workload, calibrates per-task compute costs by timing the real
 // kernels in this repository, and projects node/core sweeps through the
 // cluster performance model, printing the same rows/series the paper
-// reports. EXPERIMENTS.md records the expected shapes.
+// reports; the shape tests pin the expected shapes. The qualitative
+// Tables 1 and 3 are data here (decide.go), with Recommend, the paper's
+// decision framework, built on Table 3.
 package bench
 
 import (

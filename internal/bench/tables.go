@@ -3,39 +3,44 @@ package bench
 import (
 	"fmt"
 
-	"mdtask/internal/core"
 	"mdtask/internal/leaflet"
 	"mdtask/internal/rdd"
 	"mdtask/internal/stats"
 	"mdtask/internal/synth"
 )
 
-// Tab1 renders the paper's Table 1 (framework comparison) from the
-// structured data in the core package.
+// frameworkHeader is the header of Tables 1 and 3: a row-label column
+// followed by one column per compared framework.
+func frameworkHeader(first string) []string {
+	h := []string{first}
+	for _, e := range tableFrameworks {
+		h = append(h, FrameworkLabels[e])
+	}
+	return h
+}
+
+// Tab1 renders the paper's Table 1 (framework comparison) from Table1.
 func Tab1(cal *Calibration) *Table {
 	t := &Table{
 		ID:     "tab1",
 		Title:  "Frameworks comparison (paper Table 1)",
-		Header: []string{"property", "RADICAL-Pilot", "Spark", "Dask"},
+		Header: frameworkHeader("property"),
 	}
-	get := func(f func(core.Traits) string) []interface{} {
-		row := make([]interface{}, 0, 3)
-		for _, tr := range core.Table1 {
+	add := func(name string, f func(Traits) string) {
+		row := []interface{}{name}
+		for _, tr := range Table1 {
 			row = append(row, f(tr))
 		}
-		return row
+		t.AddRow(row...)
 	}
-	add := func(name string, f func(core.Traits) string) {
-		t.AddRow(append([]interface{}{name}, get(f)...)...)
-	}
-	add("Languages", func(tr core.Traits) string { return tr.Languages })
-	add("Task Abstraction", func(tr core.Traits) string { return tr.TaskAbstraction })
-	add("Functional Abstraction", func(tr core.Traits) string { return tr.FunctionalAPI })
-	add("Higher-Level Abstractions", func(tr core.Traits) string { return tr.HigherLevel })
-	add("Resource Management", func(tr core.Traits) string { return tr.ResourceMgmt })
-	add("Scheduler", func(tr core.Traits) string { return tr.Scheduler })
-	add("Shuffle", func(tr core.Traits) string { return tr.Shuffle })
-	add("Limitations", func(tr core.Traits) string { return tr.Limitations })
+	add("Languages", func(tr Traits) string { return tr.Languages })
+	add("Task Abstraction", func(tr Traits) string { return tr.TaskAbstraction })
+	add("Functional Abstraction", func(tr Traits) string { return tr.FunctionalAPI })
+	add("Higher-Level Abstractions", func(tr Traits) string { return tr.HigherLevel })
+	add("Resource Management", func(tr Traits) string { return tr.ResourceMgmt })
+	add("Scheduler", func(tr Traits) string { return tr.Scheduler })
+	add("Shuffle", func(tr Traits) string { return tr.Shuffle })
+	add("Limitations", func(tr Traits) string { return tr.Limitations })
 	return t
 }
 
@@ -81,34 +86,32 @@ func Tab2(cal *Calibration) *Table {
 	return t
 }
 
-// Tab3 renders the paper's Table 3 (decision framework) from the core
-// package's DecisionTable, plus a worked recommendation example.
+// Tab3 renders the paper's Table 3 (decision framework) from
+// DecisionTable, plus a worked recommendation example.
 func Tab3(cal *Calibration) *Table {
 	t := &Table{
 		ID:     "tab3",
 		Title:  "Decision framework: criteria and ranking (paper Table 3)",
-		Header: []string{"criterion", "RADICAL-Pilot", "Spark", "Dask"},
+		Header: frameworkHeader("criterion"),
 	}
-	section := func(name string, crits []core.Criterion) {
+	section := func(name string, crits []Criterion) {
 		t.AddRow("["+name+"]", "", "", "")
 		for _, c := range crits {
-			row := core.DecisionTable[c]
-			t.AddRow(string(c),
-				row[core.EnginePilot].String(),
-				row[core.EngineSpark].String(),
-				row[core.EngineDask].String())
+			row := []interface{}{string(c)}
+			for _, e := range tableFrameworks {
+				row = append(row, DecisionTable[c][e].String())
+			}
+			t.AddRow(row...)
 		}
 	}
-	section("Task Management", core.TaskManagementCriteria)
-	section("Application Characteristics", core.ApplicationCriteria)
+	section("Task Management", TaskManagementCriteria)
+	section("Application Characteristics", ApplicationCriteria)
 
-	recs, err := core.Recommend(core.Requirements{Needs: []core.Criterion{
-		core.Throughput, core.ManyTasks, core.Shuffle,
-	}})
+	recs, err := Recommend(Throughput, ManyTasks, Shuffle)
 	if err == nil && len(recs) > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"example: for {throughput, many tasks, shuffle}, Recommend ranks %s first (score %d)",
-			recs[0].Engine, recs[0].Score))
+			FrameworkLabels[recs[0].Engine], recs[0].Score))
 	}
 	return t
 }

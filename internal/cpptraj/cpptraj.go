@@ -9,10 +9,12 @@
 //   - Naive: the straightforward triple loop (one dRMS per frame pair).
 //   - Blocked: an algebraically restructured kernel that expands
 //     dRMS² = (|a|² + |b|² - 2 a·b)/N, precomputes per-frame norms, and
-//     computes the cross terms as a cache-blocked matrix product.
+//     computes the cross terms as a cache-blocked matrix product over
+//     the trajectories' cached packed coordinates.
 //
-// Both produce identical matrices (verified by tests); the blocked one
-// is several times faster, mirroring the paper's GNU-vs-Intel gap.
+// Both produce the same matrices to within 1e-9 (verified by tests);
+// the blocked one is about 2× faster on the small preset, mirroring the
+// paper's GNU-vs-Intel gap.
 package cpptraj
 
 import (
@@ -20,7 +22,6 @@ import (
 	"math"
 
 	"mdtask/internal/hausdorff"
-	"mdtask/internal/linalg"
 	"mdtask/internal/mpi"
 	"mdtask/internal/traj"
 )
@@ -57,91 +58,111 @@ func Matrix2DRMS(a, b *traj.Trajectory, k Kernel) ([]float64, error) {
 	if a.NAtoms != b.NAtoms {
 		return nil, fmt.Errorf("cpptraj: atom counts differ: %d vs %d", a.NAtoms, b.NAtoms)
 	}
-	fa, fb := hausdorff.Frames(a), hausdorff.Frames(b)
 	switch k {
 	case Naive:
-		return hausdorff.Matrix2DRMS(fa, fb), nil
+		return hausdorff.Matrix2DRMS(hausdorff.Frames(a), hausdorff.Frames(b)), nil
 	case Blocked:
-		return matrixBlocked(fa, fb), nil
+		return matrixBlocked(a.Packed(), b.Packed()), nil
 	default:
 		return nil, fmt.Errorf("cpptraj: unknown kernel %d", int(k))
 	}
 }
 
-// flatten packs frames into a contiguous row-major [nFrames][3*nAtoms]
-// buffer and returns it with the per-frame squared norms.
-func flatten(frames [][]linalg.Vec3) (flat []float64, norms []float64, width int) {
-	if len(frames) == 0 {
-		return nil, nil, 0
-	}
-	width = 3 * len(frames[0])
-	flat = make([]float64, len(frames)*width)
-	norms = make([]float64, len(frames))
-	for i, f := range frames {
-		row := flat[i*width : (i+1)*width]
+// frameNorms returns the squared norm of every packed frame row.
+func frameNorms(p *traj.Packed) []float64 {
+	norms := make([]float64, p.NFrames)
+	for i := range norms {
+		row := p.Row(i)
 		var n float64
-		for j, p := range f {
-			row[3*j], row[3*j+1], row[3*j+2] = p[0], p[1], p[2]
-			n += p.Norm2()
+		for k := 0; k+3 <= len(row); k += 3 {
+			n += row[k]*row[k] + row[k+1]*row[k+1] + row[k+2]*row[k+2]
 		}
 		norms[i] = n
 	}
-	return flat, norms, width
+	return norms
 }
 
 // matrixBlocked computes the dRMS matrix via the norm/cross-term
-// decomposition with cache blocking over frame tiles.
-func matrixBlocked(a, b [][]linalg.Vec3) []float64 {
-	na, nb := len(a), len(b)
+// decomposition over the trajectories' cached packed coordinates, with
+// cache blocking over frame tiles.
+func matrixBlocked(a, b *traj.Packed) []float64 {
+	na, nb := a.NFrames, b.NFrames
 	out := make([]float64, na*nb)
-	if na == 0 || nb == 0 {
+	if na == 0 || nb == 0 || a.NAtoms == 0 {
 		return out
 	}
-	nAtoms := len(a[0])
-	fa, normA, w := flatten(a)
-	fb, normB, _ := flatten(b)
-	inv := 1 / float64(nAtoms)
-
+	fa, fb, w := a.Coords, b.Coords, 3*a.NAtoms
+	normA, normB := frameNorms(a), frameNorms(b)
 	for i0 := 0; i0 < na; i0 += blockSize {
 		i1 := min(i0+blockSize, na)
 		for j0 := 0; j0 < nb; j0 += blockSize {
 			j1 := min(j0+blockSize, nb)
-			for i := i0; i < i1; i++ {
-				ra := fa[i*w : (i+1)*w]
-				row := out[i*nb:]
-				j := j0
-				// Register blocking: four j-frames per pass reuse each
-				// loaded ra element four times, quartering memory
-				// traffic on this memory-bound kernel.
-				for ; j+4 <= j1; j += 4 {
-					rb0 := fb[j*w : (j+1)*w]
-					rb1 := fb[(j+1)*w : (j+2)*w]
-					rb2 := fb[(j+2)*w : (j+3)*w]
-					rb3 := fb[(j+3)*w : (j+4)*w]
-					var d0, d1, d2, d3 float64
-					for k, a := range ra {
-						d0 += a * rb0[k]
-						d1 += a * rb1[k]
-						d2 += a * rb2[k]
-						d3 += a * rb3[k]
-					}
-					row[j] = finishMSD(normA[i], normB[j], d0, inv)
-					row[j+1] = finishMSD(normA[i], normB[j+1], d1, inv)
-					row[j+2] = finishMSD(normA[i], normB[j+2], d2, inv)
-					row[j+3] = finishMSD(normA[i], normB[j+3], d3, inv)
-				}
-				for ; j < j1; j++ {
-					rb := fb[j*w : (j+1)*w]
-					var dot float64
-					for k, a := range ra {
-						dot += a * rb[k]
-					}
-					row[j] = finishMSD(normA[i], normB[j], dot, inv)
-				}
-			}
+			crossTile(out, fa, fb, nb, w, i0, i1, j0, j1)
+		}
+	}
+	inv := 1 / float64(a.NAtoms)
+	for i := 0; i < na; i++ {
+		for j := 0; j < nb; j++ {
+			out[i*nb+j] = finishMSD(normA[i], normB[j], out[i*nb+j], inv)
 		}
 	}
 	return out
+}
+
+// crossTile stores the dot products of frames [i0,i1) of fa with
+// frames [j0,j1) of fb into out (row-major, nb columns; w floats per
+// frame). Its 2×4 register block keeps eight independent accumulator
+// chains in flight, where a single dot product is one dependent add
+// chain, and reuses every loaded coordinate across four (or two)
+// products.
+func crossTile(out, fa, fb []float64, nb, w, i0, i1, j0, j1 int) {
+	row := func(f []float64, i int) []float64 { return f[i*w : (i+1)*w] }
+	i := i0
+	for ; i+2 <= i1; i += 2 {
+		ra0 := row(fa, i)
+		ra1 := row(fa, i+1)[:len(ra0)]
+		j := j0
+		for ; j+4 <= j1; j += 4 {
+			rb0 := row(fb, j)[:len(ra0)]
+			rb1 := row(fb, j+1)[:len(ra0)]
+			rb2 := row(fb, j+2)[:len(ra0)]
+			rb3 := row(fb, j+3)[:len(ra0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for k, x0 := range ra0 {
+				x1 := ra1[k]
+				y0, y1, y2, y3 := rb0[k], rb1[k], rb2[k], rb3[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
+			}
+			copy(out[i*nb+j:], []float64{s00, s01, s02, s03})
+			copy(out[(i+1)*nb+j:], []float64{s10, s11, s12, s13})
+		}
+		for ; j < j1; j++ {
+			out[i*nb+j] = dot(ra0, row(fb, j))
+			out[(i+1)*nb+j] = dot(ra1, row(fb, j))
+		}
+	}
+	for ; i < i1; i++ {
+		for j := j0; j < j1; j++ {
+			out[i*nb+j] = dot(row(fa, i), row(fb, j))
+		}
+	}
+}
+
+// dot is the remainder path of crossTile.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for k, v := range x {
+		s += v * y[k]
+	}
+	return s
 }
 
 // finishMSD converts norm/cross terms to a dRMS value, clamping tiny
@@ -205,11 +226,4 @@ func RunEnsemble(ens traj.Ensemble, k Kernel, ranks int) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -113,3 +113,19 @@ func TestEmptyTrajectories(t *testing.T) {
 		t.Errorf("empty matrix = %v, %v", m, err)
 	}
 }
+
+// BenchmarkMatrix2DRMS times both kernels on the calibration pair:
+// 20 frames of the small preset's 3341 atoms.
+func BenchmarkMatrix2DRMS(b *testing.B) {
+	t1 := synth.Walk("a", synth.Small.NAtoms, 20, 1, 0)
+	t2 := synth.Walk("b", synth.Small.NAtoms, 20, 1, 1)
+	for _, k := range []Kernel{Naive, Blocked} {
+		b.Run(k.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Matrix2DRMS(t1, t2, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,9 +1,10 @@
-// Package jobs is the serving layer of the repository: a registry of
-// named analysis runners (analysis × engine), a bounded FIFO scheduler
-// with cooperative cancellation and per-job engine metrics, and a
-// content-addressed result cache. cmd/mdserver exposes it over HTTP;
-// cmd/psa and cmd/leaflet run their one-shot invocations through the
-// same registry.
+// Package jobs is the Go API and the serving layer of the repository: a
+// registry of named analysis runners (analysis × engine), the only code
+// that selects an engine, a bounded FIFO scheduler with cooperative
+// cancellation and per-job engine metrics, and a content-addressed
+// result cache. cmd/mdserver exposes it over HTTP; cmd/psa, cmd/leaflet
+// and the examples run their one-shot invocations through the same
+// registry (Resolve a Spec, then Run it).
 package jobs
 
 import (

@@ -2,20 +2,13 @@ package linalg
 
 import "math"
 
-// Cdist computes the all-pairs Euclidean distance matrix between point
-// sets a and b, equivalent to SciPy's scipy.spatial.distance.cdist.
-// The result is row-major: element i*len(b)+j is the distance between
-// a[i] and b[j]. The full matrix of len(a)*len(b) float64 values is
+// CdistInto computes the all-pairs Euclidean distance matrix between
+// point sets a and b into dst, equivalent to SciPy's
+// scipy.spatial.distance.cdist. dst is row-major: element i*len(b)+j is
+// the distance between a[i] and b[j]. It must have length
+// len(a)*len(b); CdistInto panics otherwise. The full matrix is
 // materialized, mirroring the memory footprint that limits the paper's
 // cdist-based Leaflet Finder approaches (§4.3).
-func Cdist(a, b []Vec3) []float64 {
-	out := make([]float64, len(a)*len(b))
-	CdistInto(out, a, b)
-	return out
-}
-
-// CdistInto computes the all-pairs distance matrix into dst, which must
-// have length len(a)*len(b). It panics otherwise.
 func CdistInto(dst []float64, a, b []Vec3) {
 	if len(dst) != len(a)*len(b) {
 		panic("linalg: CdistInto destination has wrong length")
@@ -28,9 +21,8 @@ func CdistInto(dst []float64, a, b []Vec3) {
 	}
 }
 
-// CdistBytes returns the number of bytes a Cdist call over point sets of
-// the given sizes materializes. Used by the memory-accounting in the
-// Leaflet Finder drivers to reproduce the paper's out-of-memory limits.
+// CdistBytes returns the number of bytes a CdistInto destination over
+// point sets of the given sizes holds.
 func CdistBytes(na, nb int) int64 {
 	return int64(na) * int64(nb) * 8
 }

@@ -9,11 +9,9 @@ import (
 func TestCdist(t *testing.T) {
 	a := []Vec3{{0, 0, 0}, {1, 0, 0}}
 	b := []Vec3{{0, 0, 0}, {0, 3, 4}, {1, 0, 0}}
-	got := Cdist(a, b)
+	got := make([]float64, len(a)*len(b))
+	CdistInto(got, a, b)
 	want := []float64{0, 5, 1, 1, math.Sqrt(1 + 25), 0}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
 	for i := range want {
 		if !almostEqual(got[i], want[i], 1e-12) {
 			t.Errorf("Cdist[%d] = %v, want %v", i, got[i], want[i])
@@ -46,7 +44,8 @@ func TestPairsWithinMatchesCdist(t *testing.T) {
 	for _, p := range pairs {
 		seen[p] = true
 	}
-	d := Cdist(a, b)
+	d := make([]float64, len(a)*len(b))
+	CdistInto(d, a, b)
 	for i := range a {
 		for j := range b {
 			within := d[i*len(b)+j] <= cutoff

@@ -17,15 +17,10 @@ import (
 	"mdtask/internal/traj"
 )
 
-// RunRDD computes PSA on the Spark-like engine: an RDD with one
+// RunRDDRefs computes PSA on the Spark-like engine: an RDD with one
 // partition per block task and a map over partitions, as the paper's
 // PySpark implementation does (§4.2: "an RDD with one partition per
-// task; tasks executed in a map function").
-func RunRDD(ctx *rdd.Context, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunRDDRefs(ctx, traj.RefsOf(ens), n1, opts)
-}
-
-// RunRDDRefs is RunRDD over trajectory handles; stream-backed refs with
+// task; tasks executed in a map function"). Stream-backed refs with
 // opts.MaxResidentFrames make every partition's task body out-of-core.
 func RunRDDRefs(ctx *rdd.Context, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
 	blocks, err := Partition(len(refs), n1, opts.Symmetric)
@@ -42,14 +37,9 @@ func RunRDDRefs(ctx *rdd.Context, refs traj.RefEnsemble, n1 int, opts Opts) (*Ma
 	return Assemble(len(refs), results), nil
 }
 
-// RunDask computes PSA on the Dask-like engine: one delayed function per
-// block task, computed by the distributed scheduler (§4.2: "tasks are
-// defined as delayed functions").
-func RunDask(client *dask.Client, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunDaskRefs(client, traj.RefsOf(ens), n1, opts)
-}
-
-// RunDaskRefs is RunDask over trajectory handles.
+// RunDaskRefs computes PSA on the Dask-like engine: one delayed
+// function per block task, computed by the distributed scheduler (§4.2:
+// "tasks are defined as delayed functions").
 func RunDaskRefs(client *dask.Client, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
 	blocks, err := Partition(len(refs), n1, opts.Symmetric)
 	if err != nil {
@@ -74,14 +64,9 @@ func RunDaskRefs(client *dask.Client, refs traj.RefEnsemble, n1 int, opts Opts) 
 	return Assemble(len(refs), results), nil
 }
 
-// RunMPI computes PSA on the MPI runtime: block tasks are statically
-// partitioned over ranks (one task per process, cycling), results are
-// gathered at rank 0.
-func RunMPI(ranks int, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunMPIRefs(ranks, traj.RefsOf(ens), n1, opts)
-}
-
-// RunMPIRefs is RunMPI over trajectory handles.
+// RunMPIRefs computes PSA on the MPI runtime: block tasks are
+// statically partitioned over ranks (one task per process, cycling),
+// results are gathered at rank 0.
 func RunMPIRefs(ranks int, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, error) {
 	blocks, err := Partition(len(refs), n1, opts.Symmetric)
 	if err != nil {
@@ -121,16 +106,11 @@ func RunMPIRefs(ranks int, refs traj.RefEnsemble, n1 int, opts Opts) (*Matrix, e
 	return out, nil
 }
 
-// RunPilot computes PSA on the pilot engine: one Compute-Unit per block
-// task. Faithful to RADICAL-Pilot's execution model, each unit reads its
-// input trajectories from staged MDT files in its sandbox and writes its
-// block of distances to an output file, which the client collects — all
-// data exchange goes through the filesystem (§3.3).
-func RunPilot(p *pilot.Pilot, ens traj.Ensemble, n1 int, opts Opts) (*Matrix, error) {
-	return RunPilotRefs(p, traj.RefsOf(ens), n1, opts)
-}
-
-// RunPilotRefs is RunPilot over trajectory handles. With
+// RunPilotRefs computes PSA on the pilot engine: one Compute-Unit per
+// block task. Faithful to RADICAL-Pilot's execution model, each unit
+// reads its input trajectories from staged MDT files in its sandbox and
+// writes its block of distances to an output file, which the client
+// collects — all data exchange goes through the filesystem (§3.3). With
 // opts.MaxResidentFrames set, each trajectory is staged as a sequence
 // of window-sized MDT files instead of one whole-trajectory file
 // (traj.EncodeMDTWindow); the unit then replays the window chain

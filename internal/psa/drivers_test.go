@@ -8,6 +8,7 @@ import (
 	"mdtask/internal/hausdorff"
 	"mdtask/internal/pilot"
 	"mdtask/internal/rdd"
+	"mdtask/internal/traj"
 )
 
 // testPilot brings up a fast-polling pilot for driver tests.
@@ -62,16 +63,16 @@ func TestPilotSymmetricStagesFewerBlobs(t *testing.T) {
 }
 
 func TestDriversRejectBadGroupSize(t *testing.T) {
-	ens := testEnsemble(4, 5, 3)
+	refs := traj.RefsOf(testEnsemble(4, 5, 3))
 	for _, sym := range []bool{false, true} {
 		opts := Opts{Symmetric: sym, Method: hausdorff.Naive}
-		if _, err := RunRDD(rdd.NewContext(2), ens, 3, opts); err == nil {
+		if _, err := RunRDDRefs(rdd.NewContext(2), refs, 3, opts); err == nil {
 			t.Errorf("rdd accepted non-divisor group size (sym=%v)", sym)
 		}
-		if _, err := RunDask(dask.NewClient(2), ens, 3, opts); err == nil {
+		if _, err := RunDaskRefs(dask.NewClient(2), refs, 3, opts); err == nil {
 			t.Errorf("dask accepted non-divisor group size (sym=%v)", sym)
 		}
-		if _, err := RunMPI(2, ens, 3, opts); err == nil {
+		if _, err := RunMPIRefs(2, refs, 3, opts); err == nil {
 			t.Errorf("mpi accepted non-divisor group size (sym=%v)", sym)
 		}
 	}

@@ -55,7 +55,7 @@ type Opts struct {
 	// Metrics, when non-nil, receives the Hausdorff kernel's frame-pair
 	// counters (evaluated / pruned / abandoned) from every runner, and
 	// engine task accounting for the runners that do not carry their own
-	// metrics-bearing context (RunMPI; the rdd/dask/pilot runners account
+	// metrics-bearing context (RunMPIRefs; the rdd/dask/pilot runners account
 	// tasks through their Context/Client/Pilot).
 	Metrics *engine.Metrics
 	// MaxResidentFrames, when positive, switches every task body to the

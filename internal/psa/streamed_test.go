@@ -149,7 +149,7 @@ func TestPilotStreamedStagesWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &engine.Metrics{}
-	got, err := RunPilot(testPilot(t), ens, n1, Opts{
+	got, err := RunPilotRefs(testPilot(t), traj.RefsOf(ens), n1, Opts{
 		Symmetric: true, Method: hausdorff.Pruned,
 		MaxResidentFrames: 2, Metrics: sink,
 	})
