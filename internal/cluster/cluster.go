@@ -12,7 +12,9 @@
 // of the paper's results holds (Dask > Spark >> RADICAL-Pilot task
 // throughput with an RP plateau below 100 tasks/s; MPI broadcast cheap
 // but growing with ranks while Spark's stays flat; Dask broadcast and
-// shuffle weaker than Spark's), as documented in DESIGN.md §1.
+// shuffle weaker than Spark's — the shapes PAPER.md summarizes). The
+// comment on each profile field in DefaultProfile names the runtime
+// cost it stands for.
 package cluster
 
 import (
@@ -270,9 +272,6 @@ type Phase struct {
 	// (import cost per task for interpreter-based runtimes).
 	ColdStart bool
 }
-
-// TotalTasks returns the task count of the phase.
-func (p Phase) TotalTasks() int { return len(p.Tasks) }
 
 // Workload is a sequence of phases executed in order.
 type Workload struct {

@@ -90,7 +90,7 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 	return (d - n.Radius) - (d+n.Radius)*boundSlack
 }
 
-// DirectedIndexed computes the directed Hausdorff distance
+// directedIndexed computes the directed Hausdorff distance
 // h(A→B) = max over a of min over b of dRMS(a, b) on packed
 // trajectories, returning exactly the same value as DirectedNaive — bit
 // for bit — by best-first branch-and-bound descent over B's frame-
@@ -123,12 +123,8 @@ func frameNodeBound(q balltree.Point4, n *balltree.FrameNode) float64 {
 // node accounting lands in NodesVisited/NodesPruned on top. Empty
 // inputs follow DirectedNaive: 0 when A is empty, +Inf when A is
 // non-empty but B is empty.
-func DirectedIndexed(a, b *traj.Packed, c *Counters) float64 {
-	return directedIndexed(a, b, c, nil, nil)
-}
-
-// directedIndexed is DirectedIndexed with the cross-direction coupling
-// of DistanceIndexed: rowUB[i], when non-nil, is a proven upper bound
+//
+// The cross-direction coupling of DistanceIndexed: rowUB[i], when non-nil, is a proven upper bound
 // on row i's minimum (an exact distance the opposite direction already
 // evaluated), letting the row skip without even its warm evaluation
 // when the bound cannot raise the max; outUB, when non-nil, collects

@@ -39,8 +39,8 @@ type Input struct {
 // lazily (the one-shot CLI path never needs it) and cached. A PSA
 // ensemble digests as the ordered list of its members' per-trajectory
 // content digests (traj.Ref.Digest) — the same digests the block cache
-// keys blocks under, so the one scan that content-addresses a job also
-// warms every per-trajectory digest the engines will need. Streamed
+// keys blocks under, so the one scan that content-addresses a path job
+// also warms every per-trajectory digest the engines will need. Streamed
 // refs digest frame by frame and hash identically to the same data
 // loaded in memory.
 func (in *Input) ContentDigest() (string, error) {
@@ -167,11 +167,13 @@ func resolveCoords(spec Spec) ([]linalg.Vec3, error) {
 // refsDigest hashes an ensemble as the ordered list of its members'
 // content digests. Each member digests streamed or in-memory data
 // identically (traj.Ref.Digest), so streamed and in-memory submissions
-// of the same input share one cache entry. The cost is one full scan of
-// on-disk data per submission (content addressing cannot be had for
-// less without trusting file metadata); callers that cannot afford the
-// scan on the submit path should run through RunLocal, which never
-// digests.
+// of the same input share one cache entry. For a path input the cost
+// is one full scan of on-disk data per submission, hit or miss (content
+// addressing cannot be had for less without trusting file metadata);
+// callers that cannot afford the scan on the submit path should run
+// through RunLocal, which never digests. A synth input is never
+// digested on submission: its whole-job key is synthInputKey, and a
+// miss digests its members lazily inside the engine, for block keys.
 func refsDigest(refs traj.RefEnsemble) (string, error) {
 	ds, err := refs.Digests()
 	if err != nil {

@@ -220,11 +220,25 @@ func (s Spec) hausdorffMethod() hausdorff.Method {
 }
 
 // PlannedTasks estimates how many engine tasks a job will run, for
-// progress reporting (0: unknown).
+// progress reporting (0: unknown). in may be nil for a synth spec,
+// which states its input's size itself.
 func PlannedTasks(spec Spec, in *Input) int {
+	var n int // trajectories (PSA) or atoms (Leaflet Finder)
+	switch {
+	case in != nil && spec.Analysis == AnalysisPSA:
+		n = len(in.Refs)
+	case in != nil:
+		n = len(in.Coords)
+	case spec.Synth != nil && spec.Analysis == AnalysisPSA:
+		n = spec.Synth.Count
+	case spec.Synth != nil:
+		n = spec.Synth.Atoms
+	default:
+		return 0
+	}
 	switch spec.Analysis {
 	case AnalysisPSA:
-		blocks, err := psa.Partition(len(in.Refs), spec.groupSize(len(in.Refs)), !spec.FullMatrix)
+		blocks, err := psa.Partition(n, spec.groupSize(n), !spec.FullMatrix)
 		if err != nil {
 			return 0
 		}
@@ -235,17 +249,17 @@ func PlannedTasks(spec Spec, in *Input) int {
 		}
 		if spec.Engine == EngineFleet {
 			// The fleet runs every approach over the 2-D tiling.
-			return len(leaflet.Plan2D(len(in.Coords), spec.Tasks))
+			return len(leaflet.Plan2D(n, spec.Tasks))
 		}
 		if spec.Approach == "broadcast" {
 			parts := spec.Tasks
 			if spec.Engine == EngineMPI {
 				parts = spec.ranks()
 			}
-			lens, _ := leaflet.Plan1D(len(in.Coords), parts)
+			lens, _ := leaflet.Plan1D(n, parts)
 			return len(lens)
 		}
-		return len(leaflet.Plan2D(len(in.Coords), spec.Tasks))
+		return len(leaflet.Plan2D(n, spec.Tasks))
 	}
 	return 0
 }

@@ -322,12 +322,19 @@ func (s *Scheduler) registerMetrics() {
 // Tracer is nil when tracing is disabled).
 func (s *Scheduler) Obs() *obs.Obs { return s.obs }
 
-// Submit validates and enqueues a job. The input is resolved (loaded or
-// generated) synchronously so the result cache can be consulted
-// immediately: an identical earlier submission completes the job on the
-// spot, without touching the queue or any engine. The tradeoff is that
-// the caller's goroutine pays for input loading and hashing, and each
-// queued job holds its input in memory until a worker picks it up —
+// Submit validates and enqueues a job. The whole-job result cache is
+// consulted synchronously: an identical earlier submission completes
+// the job on the spot, without touching the queue or any engine.
+//
+// What the lookup costs depends on the input. A synth input is a pure
+// function of its normalized SynthSpec, so its key comes from the spec
+// (synthInputKey) and a hit costs O(spec): nothing is generated or
+// hashed. A miss generates the input on the caller's goroutine. A path
+// input is loaded and content-digested on every submission, hit or
+// miss — one full scan of its data, since the key must follow the file
+// contents, not their names. Input work runs with s.mu released.
+//
+// Each queued job holds its input in memory until a worker picks it up;
 // QueueDepth bounds that multiplier, and an overloaded (or closed)
 // scheduler rejects submissions before resolving their input.
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
@@ -338,32 +345,41 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	if _, ok := s.reg.Lookup(RunnerName(norm.Analysis, norm.Engine)); !ok {
 		return nil, fmt.Errorf("jobs: no runner registered for %q", RunnerName(norm.Analysis, norm.Engine))
 	}
-	// Admission control before the expensive input resolution. A full
-	// queue also rejects would-be cache hits; under overload, shedding
-	// load beats loading inputs just to look them up.
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Admission control before any input work. A full queue also
+	// rejects would-be cache hits; under overload, shedding load beats
+	// loading inputs just to look them up.
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if len(s.pending) >= s.queueDepth {
-		s.mu.Unlock()
 		s.rejectedCtr.Inc()
 		return nil, ErrQueueFull
 	}
-	s.mu.Unlock()
-
-	in, err := ResolveInput(norm)
-	if err != nil {
+	var in *Input
+	var inputKey string
+	if norm.Synth != nil {
+		inputKey = synthInputKey(norm)
+	} else if in, inputKey, err = s.resolveUnlocked(norm); err != nil {
 		return nil, err
 	}
-	digest, err := in.ContentDigest()
-	if err != nil {
-		return nil, err
+	key := CacheKey(norm, inputKey)
+	cached, hitOK := s.store.Get(jobEntryKey(key))
+	if !hitOK {
+		if in == nil {
+			if in, _, err = s.resolveUnlocked(norm); err != nil {
+				return nil, err
+			}
+		}
+		if len(s.pending) >= s.queueDepth {
+			s.rejectedCtr.Inc()
+			return nil, ErrQueueFull
+		}
 	}
 	job := &Job{
 		spec:       norm,
-		key:        CacheKey(norm, digest),
+		key:        key,
 		totalTasks: PlannedTasks(norm, in),
 		rc:         NewRunContext(),
 		state:      StateQueued,
@@ -374,17 +390,6 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	// store block by block, so even a partial overlap with earlier jobs
 	// skips the shared kernel work.
 	job.rc.SetBlockStore(s.store)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	cached, hitOK := s.store.Get(jobEntryKey(job.key))
-	if !hitOK && len(s.pending) >= s.queueDepth {
-		s.rejectedCtr.Inc()
-		return nil, ErrQueueFull
-	}
 	s.seq++
 	job.id = fmt.Sprintf("job-%06d", s.seq)
 	// Journal the admission before acknowledging it: once Submit
@@ -424,7 +429,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		job.cacheHit = true
 		job.result = cached.(*Result)
 		job.finished = job.created
-		job.input = nil
+		job.input = nil // a path hit resolved its input only to digest it
 		job.jobSpan.SetAttr("cache_hit", "true")
 		job.jobSpan.SetAttr("state", string(StateDone))
 		job.jobSpan.End()
@@ -437,6 +442,29 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	}
 	s.pruneLocked()
 	return job, nil
+}
+
+// resolveUnlocked loads or generates norm's input with s.mu released,
+// so input work never stalls other submissions or the workers, and
+// re-takes s.mu before returning — in a deferred call, so even a
+// panicking load leaves the lock held as the caller expects. A path
+// input is content-digested here too, for its whole-job key; a synth
+// input is not (its key comes from the spec, and the engines digest
+// what their block keys need lazily). A scheduler closed meanwhile
+// fails with ErrClosed. Callers hold s.mu.
+func (s *Scheduler) resolveUnlocked(norm Spec) (in *Input, digest string, err error) {
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		if err == nil && s.closed {
+			in, digest, err = nil, "", ErrClosed
+		}
+	}()
+	if in, err = ResolveInput(norm); err != nil || norm.Synth != nil {
+		return in, "", err
+	}
+	digest, err = in.ContentDigest()
+	return in, digest, err
 }
 
 // jobFinished counts one job reaching a terminal state.

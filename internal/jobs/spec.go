@@ -44,8 +44,12 @@ var Analyses = []string{AnalysisPSA, AnalysisLeaflet}
 
 // SynthSpec describes a deterministically generated input, the serving
 // analogue of cmd/trajgen: either a paper preset by name or explicit
-// dimensions. All generation is a pure function of the fields, so a
-// synth job is fully content-addressable.
+// dimensions. All generation is a pure function of the normalized
+// fields, so the whole-job cache keys a synth input by the fields
+// themselves (synthInputKey) and answers a resubmission in O(spec),
+// without generating or hashing the input. The key carries a generator
+// version: any change to what synth.Walk or synth.Bilayer output must
+// bump it. Per-block and per-tile cache keys stay content digests.
 type SynthSpec struct {
 	// Preset selects a paper size class: for PSA an ensemble preset
 	// (small|medium|large), for Leaflet Finder a membrane preset
@@ -273,14 +277,31 @@ func normalizedLeafletSynth(g SynthSpec) (SynthSpec, error) {
 	if g.Atoms <= 0 {
 		g.Atoms = 2048
 	}
+	if g.Atoms < 2 {
+		return SynthSpec{}, fmt.Errorf("jobs: a synthetic membrane needs at least 2 atoms, got %d", g.Atoms)
+	}
 	return g, nil
 }
 
 // RunnerName is the registry key of an (analysis, engine) pair.
 func RunnerName(analysis, engine string) string { return analysis + "/" + engine }
 
-// CacheKey content-addresses a normalized spec plus the digest of its
-// resolved input data. Result-invariant parameters are normalized out:
+// synthInputKey is the input key of a normalized spec with Synth set:
+// the generator version plus every field the generated input depends
+// on. Normalized has already folded Preset into the dimensions, so a
+// preset and its explicit dimensions share a key. The "synth-v1|"
+// namespace cannot collide with a hex content digest. Bump v1 whenever
+// synth.Walk or synth.Bilayer change their output (or resolveEnsemble
+// and resolveCoords change how they call them): old keys would
+// otherwise answer with results computed from different coordinates.
+func synthInputKey(s Spec) string {
+	g := s.Synth
+	return fmt.Sprintf("synth-v1|%s|n=%d|a=%d|f=%d|s=%d", s.Analysis, g.Count, g.Atoms, g.Frames, g.Seed)
+}
+
+// CacheKey addresses a normalized spec plus the key of its input: the
+// content digest of the resolved data for a path input, synthInputKey
+// for a synth input. Result-invariant parameters are normalized out:
 // the PSA kernel method (naive, early-break, pruned and indexed are
 // all exact — they produce bit-identical matrices), the FullMatrix schedule
 // toggle (the symmetric schedule mirrors the identical values), and
@@ -289,10 +310,10 @@ func RunnerName(analysis, engine string) string { return analysis + "/" + engine
 // existing entry. Fields
 // that change where or how much engine work runs (engine, sizing) stay
 // in the key, so resubmitting on a different engine re-runs.
-func CacheKey(s Spec, inputDigest string) string {
+func CacheKey(s Spec, inputKey string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v2|%s|%s|p=%d|t=%d|a=%s|c=%x|in=%s",
 		s.Analysis, s.Engine, s.Parallelism, s.Tasks,
-		s.Approach, s.Cutoff, inputDigest)
+		s.Approach, s.Cutoff, inputKey)
 	return hex.EncodeToString(h.Sum(nil))
 }

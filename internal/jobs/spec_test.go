@@ -78,6 +78,7 @@ func TestNormalizedErrors(t *testing.T) {
 		"two inputs":         {Analysis: AnalysisPSA, Path: "/tmp", Synth: &SynthSpec{}},
 		"unknown psa preset": {Analysis: AnalysisPSA, Synth: &SynthSpec{Preset: "huge"}},
 		"unknown mem preset": {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Preset: "1M"}},
+		"one-atom membrane":  {Analysis: AnalysisLeaflet, Synth: &SynthSpec{Atoms: 1}},
 	}
 	for name, spec := range cases {
 		if _, err := spec.Normalized(); err == nil {

@@ -1,9 +1,6 @@
 package leaflet
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
@@ -16,24 +13,13 @@ import (
 
 // CoordsDigest returns the hex SHA-256 of a coordinate set's content
 // (count plus every coordinate's float64 bits) — the content-addressing
-// unit of Leaflet tile caching and of the jobs layer's whole-job keys.
+// unit of Leaflet tile caching and of the jobs layer's whole-job keys
+// for on-disk inputs.
 func CoordsDigest(coords []linalg.Vec3) string {
-	h := sha256.New()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(coords)))
-	h.Write(n[:])
-	buf := make([]byte, 0, 24*256)
-	for _, p := range coords {
-		for k := 0; k < 3; k++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p[k]))
-		}
-		if len(buf) >= 24*256 {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	h := linalg.NewCoordHash()
+	h.WriteInt(int64(len(coords)))
+	h.WriteCoords(coords)
+	return h.Hex()
 }
 
 // TileKey returns the content address of one tile's partial result:

@@ -383,27 +383,6 @@ func (t *Tracer) TraceCount() int {
 	return len(t.traces)
 }
 
-// ManualSpan builds an already-finished WireSpan without a tracer —
-// for callers that time an operation themselves and only need the
-// record (ids are drawn from t, which must be non-nil).
-func (t *Tracer) ManualSpan(parent SpanContext, name string, start time.Time, dur time.Duration, attrs map[string]string) WireSpan {
-	ws := WireSpan{
-		Span:  t.newSpanID().String(),
-		Name:  name,
-		Proc:  t.proc,
-		Start: start.UnixNano(),
-		Dur:   dur.Nanoseconds(),
-		Attrs: attrs,
-	}
-	if parent.Valid() {
-		ws.Trace = parent.Trace.String()
-		ws.Parent = parent.Span.String()
-	} else {
-		ws.Trace = t.newTraceID().String()
-	}
-	return ws
-}
-
 // String renders a context for logs: "trace/span".
 func (c SpanContext) String() string {
 	return fmt.Sprintf("%s/%s", c.Trace.String(), c.Span.String())

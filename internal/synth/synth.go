@@ -60,6 +60,9 @@ func Ensemble(p EnsemblePreset, n int, seed uint64) traj.Ensemble {
 
 // Walk generates a single random-walk trajectory: nAtoms atoms over
 // nFrames frames. The (seed, stream) pair fully determines the output.
+// The job service caches synth PSA results under a versioned key of
+// the generator's arguments (jobs.synthInputKey): any change to this
+// output must bump that key's version.
 func Walk(name string, nAtoms, nFrames int, seed, stream uint64) *traj.Trajectory {
 	r := rng(seed, stream)
 	const (
@@ -183,7 +186,10 @@ type BilayerSystem struct {
 // Bilayer generates a two-leaflet membrane with the given total atom
 // count. Each leaflet is a jittered triangular lattice; the jitter σ is
 // small relative to the lattice constant, keeping the sheets locally
-// parallel as the Leaflet Finder assumes.
+// parallel as the Leaflet Finder assumes. The job service caches synth
+// Leaflet Finder results under a versioned key of the generator's
+// arguments (jobs.synthInputKey): any change to this output must bump
+// that key's version.
 func Bilayer(nAtoms int, seed uint64) *BilayerSystem {
 	if nAtoms < 2 {
 		panic(fmt.Sprintf("synth: Bilayer needs at least 2 atoms, got %d", nAtoms))
@@ -223,11 +229,6 @@ func sheet(sys *BilayerSystem, n int, z float64, label uint8, r *rand.Rand) {
 		})
 		sys.Leaflet = append(sys.Leaflet, label)
 	}
-}
-
-// Membrane generates the bilayer for a named preset.
-func Membrane(p MembranePreset, seed uint64) *BilayerSystem {
-	return Bilayer(p.NAtoms, seed)
 }
 
 // CountLeaflets returns the sizes of the two ground-truth leaflets.

@@ -1,11 +1,9 @@
 package traj
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"io"
-	"math"
+
+	"mdtask/internal/linalg"
 )
 
 // Digest returns the hex SHA-256 of the trajectory's content — shape
@@ -25,20 +23,14 @@ func (r *Ref) Digest() (string, error) {
 }
 
 func (r *Ref) computeDigest() (string, error) {
-	h := sha256.New()
-	var buf [8]byte
-	writeI := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeI(int64(r.nAtoms))
-	writeI(int64(r.nFrames))
+	h := linalg.NewCoordHash()
+	h.WriteInt(int64(r.nAtoms))
+	h.WriteInt(int64(r.nFrames))
 	src, err := r.Open()
 	if err != nil {
 		return "", err
 	}
 	defer src.Close()
-	chunk := make([]byte, 0, 24*256)
 	for {
 		f, err := src.NextFrame()
 		if err == io.EOF {
@@ -47,18 +39,9 @@ func (r *Ref) computeDigest() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		for _, p := range f.Coords {
-			for k := 0; k < 3; k++ {
-				chunk = binary.LittleEndian.AppendUint64(chunk, math.Float64bits(p[k]))
-			}
-			if len(chunk) >= 24*256 {
-				h.Write(chunk)
-				chunk = chunk[:0]
-			}
-		}
+		h.WriteCoords(f.Coords)
 	}
-	h.Write(chunk)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return h.Hex(), nil
 }
 
 // Digests resolves the content digest of every member, in order.

@@ -142,9 +142,6 @@ func (r *Ref) NFrames() int { return r.nFrames }
 // Trajectory.Bytes).
 func (r *Ref) Bytes() int64 { return int64(r.nFrames) * int64(r.nAtoms) * 3 * 8 }
 
-// InMemory reports whether the ref wraps a loaded trajectory.
-func (r *Ref) InMemory() bool { return r.mem != nil }
-
 // Open returns a fresh FrameSource positioned at the first frame.
 func (r *Ref) Open() (FrameSource, error) {
 	if r.mem != nil {
